@@ -14,7 +14,9 @@
 //! * [`FcfsPick`] / [`ScorePick`] — exact-key heaps for FCFS, SJF and
 //!   the Dysta static ablation. The fold's comparator (`total_cmp`,
 //!   ties to the smaller id) is precisely the heap order `(key, id)`,
-//!   so the heap top *is* the fold winner.
+//!   so the heap top *is* the fold winner. PREMA keys its candidate
+//!   heap the same way (its aging set lives in `baselines/prema.rs`:
+//!   candidacy never reverts, so only sub-threshold tasks are aged).
 //! * [`DeadlinePick`] — Planaria's `(infeasible, deadline, remaining,
 //!   id)` order as two exact-key heaps. Feasibility is the only
 //!   clock-dependent bit and is monotone between hooks (slack only
@@ -28,6 +30,10 @@
 //!   a conservative error margin of the best and re-scores those few
 //!   exactly with the fold's own formula and tie-break — bit-exactness
 //!   comes from the exact rescore, never from key order.
+//!
+//! SDRM³ is the one policy left on its fold: its urgency term is
+//! hyperbolic in pick-time `now`, so no per-task key orders it between
+//! hooks.
 //!
 //! Correctness is anchored two ways: the schedulers `debug_assert` the
 //! indexed pick against the fold on every hooked pick (turning the
@@ -140,6 +146,11 @@ impl<K: Ord + Copy> LazyHeap<K> {
         self.heap.pop();
         self.remove(top.1);
         Some(top)
+    }
+
+    /// True when `id` is live.
+    pub fn contains(&self, id: u64) -> bool {
+        self.stamps.binary_search_by_key(&id, |&(k, _)| k).is_ok()
     }
 
     /// Number of live entries.

@@ -241,10 +241,12 @@ pub trait Scheduler: Send {
         let _ = (task, now_ns);
     }
 
-    /// Notification that `task` was withdrawn from this node *without*
-    /// executing — a cluster front-end stole or migrated it to a peer.
-    /// Only never-started tasks are ever withdrawn. Stateful schedulers
-    /// drop their per-task bookkeeping here, exactly as on completion.
+    /// Notification that `task` left this node without completing. A
+    /// cluster front-end withdraws never-started tasks (steal, migrate,
+    /// renege); a crash withdraws every task, started ones included —
+    /// possibly the one that last ran — and may later re-arrive it from
+    /// layer 0 under the same id. Stateful schedulers drop their
+    /// per-task bookkeeping here, exactly as on completion.
     fn on_task_removed(&mut self, task: &TaskState, now_ns: u64) {
         let _ = (task, now_ns);
     }

@@ -1,5 +1,6 @@
 //! Pins the "no per-pick heap allocation" property of the scheduling hot
-//! path: every shipped policy's `pick_next` and every predictor
+//! path: every shipped policy's `pick_next` (on both the reference fold
+//! and the hooked indexed path) and every predictor
 //! `coefficient` strategy must run allocation-free once the system is in
 //! steady state (all tasks arrived, per-task bookkeeping warmed up).
 //!
@@ -11,8 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dysta_core::{
-    CoeffStrategy, ModelInfoLut, MonitoredLayer, Policy, SparseLatencyPredictor, TaskQueue,
-    TaskState,
+    CoeffStrategy, ModelInfoLut, MonitoredLayer, Policy, QueuePositions, SparseLatencyPredictor,
+    TaskQueue, TaskState,
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
@@ -129,6 +130,43 @@ fn steady_state_pick_next_never_allocates() {
             allocs, 0,
             "{policy}: pick_next allocated on the steady-state path"
         );
+    }
+}
+
+#[test]
+fn steady_state_hooked_pick_next_never_allocates() {
+    // The path the node engine takes: a hooked queue served from each
+    // policy's indexed structures. Two regimes: shortly after the
+    // arrivals (no PREMA token at its threshold, every deadline
+    // feasible), and seconds later (every PREMA task a heap candidate,
+    // every deadline lapsed).
+    let (tasks, lut) = mid_execution_queue(64);
+    let active: Vec<usize> = (0..tasks.len()).collect();
+    let mut positions = QueuePositions::new();
+    for (pos, t) in tasks.iter().enumerate() {
+        positions.insert(t.id, pos);
+    }
+    let queue = TaskQueue::hooked(&tasks, &active, &positions);
+    for base_ns in [1_000_000u64, 60_000_000_000] {
+        for policy in Policy::ALL {
+            let mut sched = policy.build();
+            for t in &tasks {
+                sched.on_arrival(t, &lut, t.arrival_ns);
+            }
+            // Warm up: index builds, threshold crossings, lapse
+            // migrations.
+            let _ = sched.pick_next(queue, &lut, base_ns - 500_000);
+            let allocs = allocations_in(|| {
+                for step in 0..100u64 {
+                    let pick = sched.pick_next(queue, &lut, base_ns + step * 1_000);
+                    assert!(pick < queue.len());
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "{policy} at {base_ns} ns: hooked pick_next allocated on the steady-state path"
+            );
+        }
     }
 }
 

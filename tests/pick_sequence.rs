@@ -3,7 +3,10 @@
 //! exactly the pick sequence of the reference fold implementation,
 //! under arbitrary queue churn — arrivals, layer completions,
 //! preemption-style interleaving, unstarted removals (the steal /
-//! migrate / renege seam), and task completions.
+//! migrate / renege seam), crash salvage of started tasks (withdrawn
+//! and re-arrived unstarted under the same id), and task completions.
+//! Tasks mix two models, so remaining-time orders and PREMA's aging
+//! rates differ between them.
 //!
 //! Two instances of the same policy are driven through an identical
 //! hook stream over an identical arena; one picks from a
@@ -29,6 +32,9 @@ enum Op {
     Pick,
     /// Withdraw the `b`-th unstarted task, as steal/migrate/renege do.
     Remove,
+    /// Withdraw the `b`-th started task and re-arrive it from layer 0
+    /// under the same id, as a crash salvage re-dispatched here does.
+    Salvage,
     /// Let `a` ns of idle time pass.
     Advance,
 }
@@ -42,13 +48,12 @@ struct Harness {
     /// Picks from the plain view — the reference fold path.
     fold: Box<dyn Scheduler>,
     lut: ModelInfoLut,
-    spec: SparseModelSpec,
     now_ns: u64,
     next_id: u64,
 }
 
 impl Harness {
-    fn new(policy: Policy, lut: ModelInfoLut, spec: SparseModelSpec) -> Self {
+    fn new(policy: Policy, lut: ModelInfoLut) -> Self {
         Harness {
             tasks: Vec::new(),
             active: Vec::new(),
@@ -56,24 +61,28 @@ impl Harness {
             indexed: policy.build(),
             fold: policy.build(),
             lut,
-            spec,
             now_ns: 0,
             next_id: 0,
         }
     }
 
-    fn arrive(&mut self, slo_ns: u64, true_remaining_ns: u64, num_layers: usize) {
-        let variant = self.lut.variant_id(&self.spec).expect("spec profiled");
-        let mut task = TaskState::arrived(
-            self.next_id,
-            self.spec,
-            variant,
-            self.now_ns,
-            slo_ns,
-            num_layers,
-        );
+    fn arrive(
+        &mut self,
+        spec: SparseModelSpec,
+        slo_ns: u64,
+        true_remaining_ns: u64,
+        num_layers: usize,
+    ) {
+        let variant = self.lut.variant_id(&spec).expect("spec profiled");
+        let mut task =
+            TaskState::arrived(self.next_id, spec, variant, self.now_ns, slo_ns, num_layers);
         task.true_remaining_ns = true_remaining_ns;
         self.next_id += 1;
+        self.enqueue(task);
+    }
+
+    /// Shows `task` to both schedulers and queues it.
+    fn enqueue(&mut self, task: TaskState) {
         self.indexed.on_arrival(&task, &self.lut, self.now_ns);
         self.fold.on_arrival(&task, &self.lut, self.now_ns);
         self.positions.insert(task.id, self.active.len());
@@ -146,13 +155,47 @@ impl Harness {
         self.indexed.on_task_removed(&removed, self.now_ns);
         self.fold.on_task_removed(&removed, self.now_ns);
     }
+
+    /// Withdraws one started task (selector `sel`) and re-arrives it
+    /// from layer 0 with its original id, arrival and SLO, mirroring
+    /// `NodeEngine::crash_salvage` followed by a re-dispatch to this
+    /// node. No-op when nothing has started.
+    fn salvage_started(&mut self, sel: u64) {
+        let started: Vec<usize> = (0..self.active.len())
+            .filter(|&p| self.tasks[self.active[p]].started())
+            .collect();
+        if started.is_empty() {
+            return;
+        }
+        let pos = started[sel as usize % started.len()];
+        let removed = self.drop_active(pos);
+        self.indexed.on_task_removed(&removed, self.now_ns);
+        self.fold.on_task_removed(&removed, self.now_ns);
+        let mut restarted = TaskState::arrived(
+            removed.id,
+            removed.spec,
+            removed.variant,
+            removed.arrival_ns,
+            removed.slo_ns,
+            removed.num_layers,
+        );
+        restarted.true_remaining_ns = removed.true_remaining_ns + removed.executed_ns;
+        self.enqueue(restarted);
+    }
 }
 
-fn lut() -> (SparseModelSpec, ModelInfoLut) {
-    let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
+/// A short and a long model, so tasks differ in remaining time and in
+/// PREMA's aging rate (`wait / isolated`).
+fn lut() -> ([SparseModelSpec; 2], ModelInfoLut) {
+    let specs = [
+        SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0),
+        SparseModelSpec::new(ModelId::Vgg16, SparsityPattern::Dense, 0.0),
+    ];
     let mut store = TraceStore::new();
-    store.insert(TraceGenerator::default().generate(&spec, 4, 7));
-    (spec, ModelInfoLut::from_store(&store))
+    for spec in &specs {
+        store.insert(TraceGenerator::default().generate(spec, 4, 7));
+    }
+    (specs, ModelInfoLut::from_store(&store))
 }
 
 /// Case count, overridable via `PROPTEST_CASES` so CI's bench-smoke
@@ -172,26 +215,32 @@ proptest! {
     #[test]
     fn indexed_picks_match_fold_picks(
         ops in prop::collection::vec(
-            (0u8..4, 1u64..5_000_000, 0u64..1_000),
+            (0u8..5, 1u64..5_000_000, 0u64..1_000),
             1..60,
         ),
     ) {
-        let (spec, lut) = lut();
+        let (specs, lut) = lut();
         for policy in Policy::ALL {
-            let mut h = Harness::new(policy, lut.clone(), spec);
+            let mut h = Harness::new(policy, lut.clone());
             let mut picks = 0u32;
             for &(op, a, b) in &ops {
                 let op = match op {
                     0 => Op::Arrive,
                     1 => Op::Pick,
                     2 => Op::Remove,
-                    _ => Op::Advance,
+                    3 => Op::Advance,
+                    _ => Op::Salvage,
                 };
                 match op {
                     // SLOs span instantly-lost to effectively-unbounded,
                     // exercising both feasibility branches of the
                     // deadline-driven policies.
-                    Op::Arrive => h.arrive(a.saturating_mul(b + 1), a, 1 + (b as usize % 3)),
+                    Op::Arrive => h.arrive(
+                        specs[(b / 3) as usize % 2],
+                        a.saturating_mul(b + 1),
+                        a,
+                        1 + (b as usize % 3),
+                    ),
                     Op::Pick => {
                         if let Some((indexed, fold)) = h.pick_and_execute(a) {
                             prop_assert_eq!(
@@ -204,6 +253,7 @@ proptest! {
                     }
                     Op::Remove => h.remove_unstarted(b),
                     Op::Advance => h.now_ns += a,
+                    Op::Salvage => h.salvage_started(b),
                 }
             }
             // Drain: the tail of the sequence (shrinking queue, every
