@@ -1,8 +1,7 @@
-//! Fleet-scale sweep: the seed × policy × scenario × SLO grid fanned
-//! over the vendored thread pool, with byte-identical JSON at any
-//! worker count.
+//! Fleet-scale sweep: the seed × policy × scenario × SLO grid run on
+//! scoped worker threads, with byte-identical JSON at any worker count.
 //!
-//! `--threads N` (default 1) sets the pool size; `--json <path>`
+//! `--threads N` (default 1) sets the worker count; `--json <path>`
 //! writes the rows as JSON — the CI sweep-smoke step runs the quick
 //! grid at 1 and 4 threads and diffs the two files. `DYSTA_QUICK=1`
 //! shrinks the grid the same way it shrinks every other experiment
@@ -23,8 +22,8 @@ fn args() -> (usize, Option<std::path::PathBuf>) {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--threads" => {
-                // Same bound the ClusterBuilder knob validates, so both
-                // entry points reject 0 / oversized counts identically.
+                // `SweepGrid::run` treats 0 as 1; the command line
+                // rejects it, and oversized counts, outright.
                 threads = args
                     .next()
                     .and_then(|v| v.parse().ok())
@@ -73,7 +72,7 @@ fn grid(scale: Scale) -> SweepGrid {
 fn main() {
     banner(
         "Fleet sweep",
-        "seed x policy x scenario grid over the thread pool",
+        "seed x policy x scenario grid over worker threads",
     );
     let (threads, json_path) = args();
     let scale = Scale::from_env();

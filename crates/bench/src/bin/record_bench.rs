@@ -94,17 +94,20 @@ struct BenchRecord {
     /// 40 cells) run sequentially (1 thread). `None` in records from
     /// before the parallel execution stack existed.
     fleet_sweep_seq_ms: Option<f64>,
-    /// The same grid fanned over an 8-worker pool. The
-    /// `fleet_sweep_seq_ms / fleet_sweep_ms` ratio is the recorded
-    /// sweep speedup — ≥3× on a machine with ≥8 cores; on a
+    /// The same grid run by `SweepGrid::run(8)`: 8 workers on
+    /// `std::thread::scope` (records from before that timed an
+    /// 8-worker thread pool). The `fleet_sweep_seq_ms /
+    /// fleet_sweep_ms` ratio is the recorded sweep speedup; on a
     /// single-core container the two are within noise (see
     /// EXPERIMENTS.md's scaling table for the caveat).
     fleet_sweep_ms: Option<f64>,
     /// Wall time of one busy serving run (16-node pool, overdriven
     /// traffic, steal+migrate armed) with the sequential advance loop.
+    /// No longer measured — `None` in new records. Kept so that
+    /// rewriting the file preserves older records' values.
     cluster_par_seq_ms: Option<f64>,
-    /// The same run with the sharded advance on 8 worker threads
-    /// (bit-exact reports; only the wall clock may differ).
+    /// The same run with the deleted sharded advance on 8 worker
+    /// threads. No longer measured, kept like `cluster_par_seq_ms`.
     cluster_par_ms: Option<f64>,
 }
 
@@ -612,51 +615,6 @@ fn measure_fleet_sweep() -> (f64, f64) {
     (seq * 1e3, par * 1e3)
 }
 
-fn measure_cluster_par() -> (f64, f64) {
-    // The sharded advance loop on one busy serving run: the
-    // `cluster_serving` cell's traffic on a 16-node pool (8+8
-    // heterogeneous, batch + steal + migrate) so several nodes hold
-    // work between front-end events and the parallel advance has
-    // something to shard. Reports are bit-exact at any thread count;
-    // the seq/par pair records what the sharding costs or buys on this
-    // machine.
-    let workload = WorkloadBuilder::new(Scenario::MultiCnn)
-        .arrival_rate(24.0)
-        .num_requests(400)
-        .samples_per_variant(16)
-        .seed(13)
-        .build();
-    let frontend = FrontendConfig {
-        admit_batch: 4,
-        admit_interval_ns: 20_000_000,
-        steal: Some(StealConfig::default()),
-        migration: Some(MigrationConfig::default()),
-        ..FrontendConfig::default()
-    };
-    let run = |threads: usize| {
-        median_secs(3, || {
-            let pool = ClusterBuilder::heterogeneous(8, 8, Policy::Dysta)
-                .frontend(frontend)
-                .threads(threads)
-                .build();
-            std::hint::black_box(simulate_cluster(
-                &workload,
-                DispatchPolicy::SparsityAffinity.build().as_mut(),
-                &pool,
-            ));
-        })
-    };
-    let seq = run(1);
-    let par = run(8);
-    println!(
-        "cluster_par (8+8 nodes, batch+steal+migrate, 400 reqs): seq {:.1} ms, 8 threads {:.1} ms ({:.2}x)",
-        seq * 1e3,
-        par * 1e3,
-        seq / par,
-    );
-    (seq * 1e3, par * 1e3)
-}
-
 fn measure_workload_stream() -> WorkloadStreamCell {
     use dysta::cluster::simulate_cluster_stream;
     use dysta::workload::{ArrivalProcess, PhaseSpec, Popularity, SloModel, StreamSpec};
@@ -855,7 +813,6 @@ fn main() {
     let workload_stream = measure_workload_stream();
     let trace_overhead = measure_trace_overhead();
     let (fleet_sweep_seq_ms, fleet_sweep_ms) = measure_fleet_sweep();
-    let (cluster_par_seq_ms, cluster_par_ms) = measure_cluster_par();
 
     let record = BenchRecord {
         label: label.clone(),
@@ -872,8 +829,8 @@ fn main() {
         workload_stream: Some(workload_stream),
         fleet_sweep_seq_ms: Some(fleet_sweep_seq_ms),
         fleet_sweep_ms: Some(fleet_sweep_ms),
-        cluster_par_seq_ms: Some(cluster_par_seq_ms),
-        cluster_par_ms: Some(cluster_par_ms),
+        cluster_par_seq_ms: None,
+        cluster_par_ms: None,
     };
 
     // A malformed history file must abort, not be silently replaced —

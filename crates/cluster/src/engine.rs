@@ -27,100 +27,6 @@ use crate::policy::{
 };
 use crate::report::{ClusterReport, NodeReport, ServingStats};
 use crate::{ClusterConfig, FrontendConfig};
-use threadpool::ThreadPool;
-
-/// A node engine with a boxed scheduler — the element type of the
-/// cluster's node list, and what [`ClusterTracer::advance_nodes`]
-/// steps.
-pub type ClusterNode<'w, T> = NodeEngine<'w, Box<dyn dysta_core::Scheduler>, T>;
-
-/// Tracer capability for the cluster engine: how the advance phase may
-/// step the live set between two front-end events.
-///
-/// The default is the historical sequential loop, correct for every
-/// tracer. [`NullTracer`] (the untraced path every experiment binary
-/// runs) opts into the *sharded* advance: node stepping is resumable on
-/// a causal per-node clock and touches no shared state, so live nodes
-/// advance concurrently on the pool and the barrier at the end of
-/// [`ThreadPool::scope`] re-serializes before the front-end observes
-/// anything. Completion merging stays where it always was — the
-/// sequential [`Frontend::prune_live`] walk in ascending node order —
-/// so reports are bit-exact with the sequential loop by construction.
-///
-/// By-reference tracers (`&RingTracer`) keep the sequential default:
-/// they are not `Sync`, and sequential advance also preserves the
-/// recorded event order.
-pub trait ClusterTracer: Tracer + Copy {
-    /// True when this tracer permits the sharded (parallel) advance;
-    /// the engine only constructs a pool when this holds.
-    const PARALLEL: bool = false;
-
-    /// Advances every node in `live` (ascending node ids) up to
-    /// sim-time `t`. Implementations must be observationally identical
-    /// to the sequential loop: each node ends at the exact state
-    /// `run_until(t)` produces, and nothing else may be touched.
-    fn advance_nodes<'w>(
-        pool: Option<&ThreadPool>,
-        nodes: &mut [ClusterNode<'w, Self>],
-        live: &[usize],
-        t: u64,
-    ) {
-        let _ = pool;
-        for &id in live {
-            nodes[id].run_until(t);
-        }
-    }
-}
-
-impl ClusterTracer for NullTracer {
-    const PARALLEL: bool = true;
-
-    fn advance_nodes<'w>(
-        pool: Option<&ThreadPool>,
-        nodes: &mut [ClusterNode<'w, Self>],
-        live: &[usize],
-        t: u64,
-    ) {
-        let pool = match pool {
-            // One live node parallelizes nothing; skip the scope.
-            Some(pool) if live.len() >= 2 => pool,
-            _ => {
-                for &id in live {
-                    nodes[id].run_until(t);
-                }
-                return;
-            }
-        };
-        // Split the node slice into disjoint `&mut` references for the
-        // live ids (ascending, so one forward walk suffices).
-        let mut refs: Vec<&mut ClusterNode<'w, Self>> = Vec::with_capacity(live.len());
-        let mut rest = &mut nodes[..];
-        let mut offset = 0;
-        for &id in live {
-            let (_, tail) = rest.split_at_mut(id - offset);
-            let (node, tail) = tail.split_first_mut().expect("live id in range");
-            refs.push(node);
-            rest = tail;
-            offset = id + 1;
-        }
-        pool.scope(|s| {
-            for node in refs {
-                s.spawn(move || node.run_until(t));
-            }
-        });
-    }
-}
-
-// By-reference tracers advance sequentially (see trait docs).
-impl<T: Tracer + ?Sized> ClusterTracer for &T {}
-
-// The sharded advance moves `&mut ClusterNode` across threads; keep the
-// Send-ability of the untraced node engine pinned at compile time so a
-// non-Send field can never silently reach the parallel path.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<ClusterNode<'static, NullTracer>>();
-};
 
 /// Replays `workload` on a cluster of nodes behind `dispatcher` with the
 /// default admission ([`AdmitAll`]), steal, and migration policies,
@@ -242,7 +148,7 @@ pub fn simulate_cluster_with(
 /// assert_eq!(report.completed_total(), 20);
 /// assert!(tracer.validate().is_ok());
 /// ```
-pub fn simulate_cluster_traced<T: ClusterTracer>(
+pub fn simulate_cluster_traced<T: Tracer + Copy>(
     workload: &Workload,
     policy: &mut ClusterPolicy,
     config: &ClusterConfig,
@@ -259,7 +165,7 @@ pub fn simulate_cluster_traced<T: ClusterTracer>(
     )
 }
 
-fn run_cluster<T: ClusterTracer>(
+fn run_cluster<T: Tracer + Copy>(
     workload: &Workload,
     dispatcher: &mut dyn Dispatcher,
     admission_policy: &dyn AdmissionPolicy,
@@ -378,7 +284,7 @@ fn run_cluster_source<'w, S, T>(
 ) -> ClusterReport
 where
     S: RequestSource<'w>,
-    T: ClusterTracer,
+    T: Tracer + Copy,
 {
     assert!(
         source.peek_arrival_ns().is_some(),
@@ -386,14 +292,6 @@ where
     );
     config.validate();
     let len_hint = source.len_hint();
-
-    // The pool exists only when the tracer permits the sharded advance
-    // AND more than one thread is requested; otherwise `pool` is `None`
-    // and every advance takes the sequential loop. `new(1)` would also
-    // be sequential, but skipping construction keeps the 1-thread path
-    // free of pool plumbing entirely.
-    let threads = config.resolved_threads();
-    let pool = (T::PARALLEL && threads >= 2).then(|| ThreadPool::new(threads));
 
     let lut = ModelInfoLut::from_store(source.store());
     let lut_len = lut.len();
@@ -457,7 +355,6 @@ where
         tracer,
         labels: vec![None; lut_len],
         scratch: String::new(),
-        pool,
     };
     frontend.run();
     frontend.into_report()
@@ -728,12 +625,9 @@ struct Frontend<'w, 'c, S, T> {
     labels: Vec<Option<u32>>,
     /// Reusable label-formatting buffer (steady state allocates nothing).
     scratch: String,
-    /// Worker pool for the sharded advance phase; `None` runs every
-    /// advance on the caller thread (sequential, the 1-thread path).
-    pool: Option<ThreadPool>,
 }
 
-impl<'w, S: RequestSource<'w>, T: ClusterTracer> Frontend<'w, '_, S, T> {
+impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// The original (pre-degrade) admitted request for a live id.
     /// `Request` is `Copy`, so this hands out an owned value and leaves
     /// `self` free for further mutation.
@@ -924,15 +818,10 @@ impl<'w, S: RequestSource<'w>, T: ClusterTracer> Frontend<'w, '_, S, T> {
     /// (the dispatch seam re-floors a stale idle clock at the decision
     /// instant), so the skip is bit-exact — and observed-drained nodes
     /// are pruned from the live set on the way out.
-    ///
-    /// The advance itself dispatches through
-    /// [`ClusterTracer::advance_nodes`]: sequential by default, sharded
-    /// over the pool for [`NullTracer`] runs with `threads >= 2`. Either
-    /// way the barrier lands here — `prune_live` (the deterministic
-    /// completion merge, ascending node order) runs after every node
-    /// has reached `t`.
     fn sync_nodes(&mut self, t: u64) {
-        T::advance_nodes(self.pool.as_ref(), &mut self.nodes, &self.live, t);
+        for &id in &self.live {
+            self.nodes[id].run_until(t);
+        }
         self.prune_live();
     }
 

@@ -1,20 +1,15 @@
-//! Fleet-scale sweep grids: seed × policy × scenario × SLO cells fanned
-//! over a [`ThreadPool`], results in grid order.
+//! Fleet-scale sweep grids: seed × policy × scenario × SLO cells run on
+//! scoped worker threads, results in grid order.
 //!
 //! Every experiment figure in the paper reduces to a grid of
-//! independent cluster runs — the same pool replayed across seeds,
+//! independent cluster runs — the same cluster replayed across seeds,
 //! dispatch policies, traffic scenarios, and SLO tightness. Each cell
 //! is one [`crate::simulate_cluster_stream`] run sharing nothing with
-//! its neighbours, so the grid is the natural parallel axis: cells run
-//! on pool workers, and [`ThreadPool::map`] collects results by
-//! submission index, so the output `Vec<SweepRow>` — and therefore
-//! [`SweepGrid::rows_to_json`] — is byte-identical regardless of the
-//! worker count.
-//!
-//! Cells force their *internal* thread knob to 1: with the grid
-//! saturating the pool, a nested per-cell advance pool would only
-//! oversubscribe the machine, and the sequential loop is the bit-exact
-//! reference anyway.
+//! its neighbours, so the grid is the workspace's one parallel axis:
+//! [`SweepGrid::run`] hands cells to [`std::thread::scope`] workers and
+//! stores each result in the slot of its cell index, so the output
+//! `Vec<SweepRow>` — and therefore [`SweepGrid::rows_to_json`] — is
+//! byte-identical regardless of the worker count.
 //!
 //! # Examples
 //!
@@ -39,12 +34,19 @@
 //! );
 //! ```
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use serde::{Deserialize, Serialize};
-use threadpool::ThreadPool;
 
 use dysta_workload::{Scenario, StreamSpec};
 
 use crate::{simulate_cluster_stream, ClusterConfig, DispatchPolicy};
+
+/// Upper bound on the worker count `fleet_sweep --threads` accepts — far
+/// above any plausible machine, a guard against a mistyped count
+/// spawning thousands of OS threads. [`SweepGrid::run`] never starts
+/// more workers than the grid has cells.
+pub const MAX_THREADS: usize = 1024;
 
 /// One entry of the grid's scenario axis: a traffic scenario with its
 /// arrival rate and the stable name the result rows carry.
@@ -96,15 +98,14 @@ pub struct SweepRow {
 }
 
 /// A seed × policy × scenario × SLO sweep over one cluster
-/// configuration, run cell-per-worker on a [`ThreadPool`].
+/// configuration, each cell an independent run on a worker thread.
 ///
 /// Cell order is canonical — seeds outermost, then policies, then
 /// scenarios, then SLO multipliers — and [`SweepGrid::run`] returns
 /// rows in exactly that order whatever the thread count.
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
-    /// The pool every cell replays (its thread knob is overridden to 1
-    /// per cell — the grid is the parallel axis).
+    /// The cluster every cell replays.
     pub config: ClusterConfig,
     /// Workload seeds (outermost axis).
     pub seeds: Vec<u64>,
@@ -198,11 +199,8 @@ impl SweepGrid {
             .samples_per_variant(self.samples_per_variant)
             .seed(seed);
         let store = spec.build_store();
-        // The grid owns the parallelism; the cell's own advance loop
-        // stays sequential (also the bit-exact reference path).
-        let mut config = self.config.clone();
-        config.threads = Some(1);
-        let report = simulate_cluster_stream(spec.source(&store), policy.build().as_mut(), &config);
+        let report =
+            simulate_cluster_stream(spec.source(&store), policy.build().as_mut(), &self.config);
         SweepRow {
             scenario: sc.name.to_string(),
             policy: policy.name().to_string(),
@@ -217,23 +215,58 @@ impl SweepGrid {
         }
     }
 
-    /// Runs every cell on a pool of `threads` workers and returns the
-    /// rows in canonical grid order.
+    /// Runs every cell on `threads` workers — the calling thread plus
+    /// `threads - 1` scoped threads, capped at one per cell; 0 counts
+    /// as 1 — and returns the rows in canonical grid order.
     ///
     /// Each cell is a self-contained run (own trace store, own node
-    /// engines); [`ThreadPool::map`] writes results into
-    /// submission-indexed slots, so the returned rows — values and
-    /// order — are identical for any `threads >= 1`.
+    /// engines). Workers claim cell indices from a shared cursor and
+    /// each result lands in its cell's slot, so the returned rows —
+    /// values and order — are identical for any worker count.
     ///
     /// # Panics
     ///
-    /// Panics if any axis is empty.
+    /// Panics if any axis is empty. A panicking cell re-raises its own
+    /// payload here, whichever thread ran it.
     pub fn run(&self, threads: usize) -> Vec<SweepRow> {
-        assert!(self.cell_count() > 0, "sweep grid needs non-empty axes");
-        let pool = ThreadPool::new(threads);
-        pool.map(self.cells(), |(seed, policy, scenario, slo)| {
-            self.run_cell(seed, policy, scenario, slo)
-        })
+        let cells = self.cells();
+        assert!(!cells.is_empty(), "sweep grid needs non-empty axes");
+        // The cursor only hands out indices: cells are shared read-only
+        // and results come back through `join`, so `Relaxed` suffices.
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(seed, policy, scenario, slo)) = cells.get(i) else {
+                    return done;
+                };
+                done.push((i, self.run_cell(seed, policy, scenario, slo)));
+            }
+        };
+        let mut slots: Vec<Option<SweepRow>> = vec![None; cells.len()];
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (1..threads.clamp(1, cells.len()))
+                .map(|_| s.spawn(work))
+                .collect();
+            let mut done = work();
+            // Join by hand: `scope` would replace a worker's panic
+            // message with a generic one.
+            for worker in workers {
+                done.extend(
+                    worker
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+                );
+            }
+            for (i, row) in done {
+                slots[i] = Some(row);
+            }
+        });
+        slots
+            .into_iter()
+            .map(|row| row.expect("every cell ran"))
+            .collect()
     }
 
     /// Serializes rows to the stable JSON document the CI sweep-smoke
@@ -290,14 +323,38 @@ mod tests {
 
     #[test]
     fn parallel_rows_are_byte_identical_to_sequential() {
-        let grid = quick_grid();
-        let seq = grid.run(1);
-        for threads in [2, 4, 8] {
-            let par = grid.run(threads);
-            assert_eq!(
-                SweepGrid::rows_to_json(&seq),
-                SweepGrid::rows_to_json(&par),
-                "{threads}-thread sweep diverged"
+        // The 2-cell grid at 8 workers has more workers than cells; 0
+        // workers means 1.
+        let two_cells = quick_grid().seeds(vec![1]).slo_multipliers(vec![10.0]);
+        for grid in [quick_grid(), two_cells] {
+            let seq = grid.run(1);
+            for threads in [0, 2, 4, 8] {
+                let par = grid.run(threads);
+                assert_eq!(
+                    SweepGrid::rows_to_json(&seq),
+                    SweepGrid::rows_to_json(&par),
+                    "{threads}-thread sweep of {} cells diverged",
+                    grid.cell_count()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_cell_reraises_its_own_message() {
+        // Hand-mutated past the builder: every cell's engine rejects it.
+        let mut grid = quick_grid();
+        grid.config.nodes[0].mismatch_slowdown = 0.3;
+        for threads in [1, 4] {
+            let payload = std::panic::catch_unwind(|| grid.run(threads))
+                .expect_err("invalid config must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert!(
+                message.is_some_and(|m| m.contains("mismatch slowdown must be >= 1")),
+                "{threads} workers re-raised {message:?}"
             );
         }
     }
