@@ -1,7 +1,7 @@
 //! The event loop.
 
 use dysta_core::{ModelInfoLut, Scheduler};
-use dysta_obs::{EventKind, TraceEvent, Tracer, NODE_FRONTEND};
+use dysta_obs::{EventKind, NullTracer, TraceEvent, Tracer, NODE_FRONTEND};
 use dysta_trace::SparseModelSpec;
 use dysta_workload::Workload;
 
@@ -40,9 +40,10 @@ impl Default for EngineConfig {
 
 /// Replays `workload` under `scheduler` and returns the completion record.
 ///
-/// A thin wrapper over [`NodeEngine`]: every request is enqueued up
-/// front on one node, which then runs to completion. Deterministic:
-/// identical inputs produce identical reports.
+/// [`simulate_traced`] with a [`NullTracer`]: every request is
+/// enqueued up front on one [`NodeEngine`], which then runs to
+/// completion. Deterministic: identical inputs produce identical
+/// reports.
 ///
 /// # Panics
 ///
@@ -52,15 +53,7 @@ pub fn simulate(
     scheduler: &mut dyn Scheduler,
     config: &EngineConfig,
 ) -> SimReport {
-    let requests = workload.requests();
-    assert!(!requests.is_empty(), "workload must contain requests");
-    let lut = ModelInfoLut::from_store(workload.store());
-    let mut node: NodeEngine<'_, &mut dyn Scheduler> = NodeEngine::new(0, scheduler, *config, lut);
-    for req in requests {
-        node.enqueue(req, workload.trace_for(req));
-    }
-    node.run_to_completion();
-    node.into_report()
+    simulate_traced(workload, scheduler, config, NullTracer)
 }
 
 /// [`simulate`] with observability: the single node reports to
@@ -89,13 +82,16 @@ pub fn simulate_traced<T: Tracer>(
     // reuses ids (and one scratch string) instead of re-formatting.
     // Keyed by spec equality (a linear scan over a handful of variants)
     // rather than `variant_id` — enqueue already pays that binary
-    // search, and a disabled tracer skips this block outright, so the
-    // NullTracer path does exactly the work `simulate` does.
+    // search, and a disabled tracer such as `simulate`'s NullTracer
+    // skips this block outright.
     let mut labels: Vec<(SparseModelSpec, u32)> = Vec::new();
     let mut scratch = String::new();
-    let mut node: NodeEngine<'_, &mut dyn Scheduler, &T> =
-        NodeEngine::with_tracer(0, scheduler, *config, lut, &tracer);
+    // The node owns the tracer, so `simulate` runs the same
+    // `NodeEngine<_, NullTracer>` a bare node does.
+    let mut node: NodeEngine<'_, &mut dyn Scheduler, T> =
+        NodeEngine::with_tracer(0, scheduler, *config, lut, tracer);
     for req in requests {
+        let tracer = node.tracer();
         if tracer.enabled() {
             let label = match labels.iter().find(|(spec, _)| *spec == req.spec) {
                 Some(&(_, id)) => id,

@@ -44,27 +44,34 @@ fn traced_runs_match_untraced_and_export_byte_identically() {
         .samples_per_variant(8)
         .seed(17)
         .build();
-    for policy in Policy::ALL {
-        // Tracing observes without perturbing: the traced report equals
-        // the untraced one for every shipped policy.
-        let plain = simulate(&w, policy.build().as_mut(), &EngineConfig::default());
-        let run = || {
-            let tracer = RingTracer::new(1 << 16);
-            let report = simulate_traced(
-                &w,
-                policy.build().as_mut(),
-                &EngineConfig::default(),
-                &tracer,
+    let timeline = EngineConfig {
+        record_timeline: true,
+        ..EngineConfig::default()
+    };
+    for config in [EngineConfig::default(), timeline] {
+        for policy in Policy::ALL {
+            // Tracing observes without perturbing: the whole traced
+            // report (completions, preemptions, scheduler invocations
+            // and timeline) equals the untraced one for every policy.
+            let plain = simulate(&w, policy.build().as_mut(), &config);
+            assert_eq!(
+                plain.timeline().is_empty(),
+                !config.record_timeline,
+                "{policy} {config:?}"
             );
-            tracer.validate().expect("well-formed event stream");
-            (report, tracer.perfetto_json())
-        };
-        let (r1, json1) = run();
-        let (r2, json2) = run();
-        assert_eq!(plain.completed(), r1.completed(), "{policy}");
-        assert_eq!(r1.completed(), r2.completed(), "{policy}");
-        // The export itself is a pure function of the run.
-        assert_eq!(json1, json2, "{policy}: trace export not deterministic");
+            let run = || {
+                let tracer = RingTracer::new(1 << 16);
+                let report = simulate_traced(&w, policy.build().as_mut(), &config, &tracer);
+                tracer.validate().expect("well-formed event stream");
+                (report, tracer.perfetto_json())
+            };
+            let (r1, json1) = run();
+            let (r2, json2) = run();
+            assert_eq!(plain, r1, "{policy} {config:?}");
+            assert_eq!(r1, r2, "{policy} {config:?}");
+            // The export itself is a pure function of the run.
+            assert_eq!(json1, json2, "{policy}: trace export not deterministic");
+        }
     }
 }
 
